@@ -8,8 +8,8 @@
 //! prefetch insertion on the warehouse-scale benchmarks.
 
 use propeller::{Propeller, PropellerOptions};
-use propeller_bench::{RunConfig, Table};
-use propeller_synth::{generate, spec_by_name, GenParams};
+use propeller_bench::{generate_for, RunConfig, Table};
+use propeller_synth::spec_by_name;
 
 fn main() {
     let cfg = RunConfig::from_env();
@@ -22,15 +22,7 @@ fn main() {
     ]);
     for name in ["search", "bigtable", "clang"] {
         let spec = spec_by_name(name).unwrap();
-        let gen = generate(
-            &spec,
-            &GenParams {
-                scale: (spec.default_scale * cfg.scale_mult).min(1.0),
-                seed: cfg.seed,
-                funcs_per_module: 12,
-                entry_points: 4,
-            },
-        );
+        let gen = generate_for(&spec, (spec.default_scale * cfg.scale_mult).min(1.0), cfg.seed);
         let run = |prefetch: Option<u64>| {
             let mut opts = PropellerOptions {
                 prefetch,

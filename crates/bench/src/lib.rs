@@ -4,10 +4,12 @@
 //! benchmark at a manageable scale, running the full Propeller
 //! pipeline, building the BOLT comparator inputs, simulating all
 //! binaries under the same workload, and extrapolating memory/time
-//! figures back to Table 2 scale.
+//! figures back to Table 2 scale. [`chaos`] holds the built-in fault
+//! matrix behind `propeller_cli chaos`.
 
+pub mod chaos;
 pub mod runner;
 pub mod table;
 
-pub use runner::{run_benchmark, BenchArtifacts, RunConfig};
+pub use runner::{generate_for, run_benchmark, run_benchmark_at, BenchArtifacts, RunConfig};
 pub use table::Table;

@@ -9,7 +9,9 @@ use propeller_ir::ProgramStats;
 use propeller_linker::{link, LinkInput, LinkOptions, LinkedBinary};
 use propeller_profile::{HardwareProfile, SamplingConfig};
 use propeller_sim::{simulate, CounterSet, HeatMap, ProgramImage, SimOptions, UarchConfig, Workload};
-use propeller_synth::{generate, spec_by_name, BenchKind, BenchmarkSpec, GenParams};
+use propeller_synth::{
+    generate, spec_by_name, BenchKind, BenchmarkSpec, GenParams, GeneratedBenchmark,
+};
 use propeller_telemetry::Telemetry;
 use propeller_wpa::WpaStats;
 use std::sync::Arc;
@@ -106,11 +108,6 @@ impl BenchArtifacts {
         (v as f64 / self.scale) as u64
     }
 
-    /// Same, for float quantities.
-    pub fn full_scale_f(&self, v: f64) -> f64 {
-        v / self.scale
-    }
-
     /// The per-action memory limit for this benchmark's build.
     pub fn action_ram_limit(&self) -> u64 {
         self.spec.action_ram_gib * GIB
@@ -168,11 +165,6 @@ impl BenchArtifacts {
             }
         }
         out
-    }
-
-    /// Whether the BOLT-optimized binary can actually run.
-    pub fn bolt_runs(&self) -> bool {
-        matches!(&self.bolt, Ok(out) if !out.crash_on_startup)
     }
 
     /// Full-scale build/optimization wall times (Figure 9 / Table 5).
@@ -275,6 +267,20 @@ pub struct FullScaleTimes {
     pub compile_frontend: f64,
 }
 
+/// Generates `spec` at an absolute `scale` in the harness's standard
+/// shape: 12 functions per module and 4 entry points.
+pub fn generate_for(spec: &BenchmarkSpec, scale: f64, seed: u64) -> GeneratedBenchmark {
+    generate(
+        spec,
+        &GenParams {
+            scale,
+            seed,
+            funcs_per_module: 12,
+            entry_points: 4,
+        },
+    )
+}
+
 /// Runs the full experiment for one named benchmark.
 ///
 /// # Panics
@@ -284,15 +290,17 @@ pub struct FullScaleTimes {
 pub fn run_benchmark(name: &str, cfg: &RunConfig) -> BenchArtifacts {
     let spec = spec_by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
     let scale = (spec.default_scale * cfg.scale_mult).min(1.0);
-    let gen = generate(
-        &spec,
-        &GenParams {
-            scale,
-            seed: cfg.seed,
-            funcs_per_module: 12,
-            entry_points: 4,
-        },
-    );
+    run_benchmark_at(spec, scale, cfg)
+}
+
+/// [`run_benchmark`] at an absolute generation `scale`;
+/// `cfg.scale_mult` is ignored.
+///
+/// # Panics
+///
+/// Panics on any pipeline failure.
+pub fn run_benchmark_at(spec: BenchmarkSpec, scale: f64, cfg: &RunConfig) -> BenchArtifacts {
+    let gen = generate_for(&spec, scale, cfg.seed);
     let program_stats = gen.program.stats();
 
     let machine = match spec.kind {
@@ -405,16 +413,7 @@ pub fn run_layout_variants(
 ) -> (CounterSet, Vec<(String, CounterSet, WpaStats)>) {
     use propeller_wpa::run_wpa;
     let spec = spec_by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
-    let scale = (spec.default_scale * cfg.scale_mult).min(1.0);
-    let gen = generate(
-        &spec,
-        &GenParams {
-            scale,
-            seed: cfg.seed,
-            funcs_per_module: 12,
-            entry_points: 4,
-        },
-    );
+    let gen = generate_for(&spec, (spec.default_scale * cfg.scale_mult).min(1.0), cfg.seed);
     let uarch = if spec.hugepages {
         UarchConfig::with_hugepages()
     } else {

@@ -162,11 +162,6 @@ impl Executor {
         self.faults.as_ref()
     }
 
-    /// The retry policy used by the resilient phase runner.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// The machine this executor schedules onto.
     pub fn machine(&self) -> MachineConfig {
         self.machine

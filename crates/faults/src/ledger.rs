@@ -7,6 +7,7 @@
 //! and a clean ledger ([`DegradationLedger::is_clean`]) certifies the
 //! run took the exact undegraded path.
 
+use crate::{FaultInjector, FaultKind};
 use std::fmt;
 
 /// Which symbol-ordering mode the final relink used.
@@ -27,6 +28,28 @@ impl LayoutMode {
             LayoutMode::Optimized => "optimized",
             LayoutMode::IdentityFallback => "identity-fallback",
         }
+    }
+}
+
+/// A fault kind whose fired count disagrees with its ledger booking.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BookingMismatch {
+    pub kind: FaultKind,
+    /// Faults of `kind` the injector fired.
+    pub fired: u64,
+    /// Degradations the ledger booked for them.
+    pub booked: u64,
+}
+
+impl fmt::Display for BookingMismatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "injector fired {} {} fault(s) but the ledger accounts for {}",
+            self.fired,
+            self.kind.key(),
+            self.booked
+        )
     }
 }
 
@@ -103,6 +126,25 @@ impl DegradationLedger {
                 },
             ),
         ]
+    }
+
+    /// Every pipeline fault kind whose `injector` fire count differs
+    /// from what this ledger booked for it. Empty means exact,
+    /// one-for-one accounting: no silent drops, no double counting.
+    pub fn booking_mismatches(&self, injector: &FaultInjector) -> Vec<BookingMismatch> {
+        [
+            (FaultKind::TransientActionFailure, self.action_retries),
+            (FaultKind::ActionTimeout, self.action_timeouts),
+            (FaultKind::CacheCorruption, self.cache_corruptions),
+            (FaultKind::CacheEviction, self.cache_evictions),
+            (FaultKind::LbrRecordCorruption, self.lbr_records_corrupted),
+            (FaultKind::SampleTruncation, self.lbr_samples_truncated),
+            (FaultKind::PermanentCodegenFailure, self.objects_fallen_back),
+        ]
+        .into_iter()
+        .map(|(kind, booked)| BookingMismatch { kind, fired: injector.fired(kind), booked })
+        .filter(|m| m.fired != m.booked)
+        .collect()
     }
 
     /// Rebuild a ledger from `entries()`-shaped pairs (report JSON
@@ -230,6 +272,20 @@ mod tests {
         assert!(text.contains("cache_rebuilds"));
         assert!(!text.contains("action_retries"));
         assert!(text.contains("optimized"));
+    }
+
+    #[test]
+    fn booking_one_fault_short_is_one_mismatch() {
+        let inj = FaultInjector::new(crate::FaultPlan::parse("transient=1:2").unwrap(), 7);
+        assert!(inj.fires(FaultKind::TransientActionFailure, "compile m0"));
+        assert!(inj.fires(FaultKind::TransientActionFailure, "compile m1"));
+        let exact = DegradationLedger { action_retries: 2, ..DegradationLedger::default() };
+        assert!(exact.booking_mismatches(&inj).is_empty());
+        let short = DegradationLedger { action_retries: 1, ..DegradationLedger::default() };
+        assert_eq!(
+            short.booking_mismatches(&inj),
+            vec![BookingMismatch { kind: FaultKind::TransientActionFailure, fired: 2, booked: 1 }]
+        );
     }
 
     #[test]

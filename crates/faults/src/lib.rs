@@ -31,6 +31,6 @@ mod plan;
 mod service;
 
 pub use injector::{FaultInjector, RetryPolicy};
-pub use ledger::{DegradationLedger, LayoutMode};
+pub use ledger::{BookingMismatch, DegradationLedger, LayoutMode};
 pub use plan::{FaultKind, FaultPlan, FaultPlanParseError, FaultSpec};
 pub use service::{ServiceLedger, TenantLedger};

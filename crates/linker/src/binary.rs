@@ -83,13 +83,6 @@ pub struct SymbolPlacement {
     pub shrunk_branches: u32,
 }
 
-impl SymbolPlacement {
-    /// Bytes saved by relaxation inside this symbol.
-    pub fn bytes_saved(&self) -> u64 {
-        self.input_size.saturating_sub(self.final_size)
-    }
-}
-
 /// Link-action statistics.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub struct LinkStats {

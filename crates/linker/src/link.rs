@@ -477,7 +477,7 @@ fn emit_section(
             let target = resolve(secs, symtab, &r.symbol, r.addend, obj_name)?;
             let new_off = sec.new_offset(r.offset) as usize;
             let field_addr = sec.addr + new_off as u64;
-            patch_slice(&mut out, new_off, r.kind, target, field_addr, &r.symbol)?;
+            patch(&mut out, new_off, r.kind, target, field_addr, &r.symbol)?;
         }
         let end = start + out.len();
         image[start..end].copy_from_slice(&out);
@@ -495,19 +495,6 @@ fn patch(
 ) -> Result<(), LinkError> {
     let width = kind.width();
     let slice = &mut image[pos..pos + width];
-    write_field(slice, kind, target, field_addr, symbol)
-}
-
-fn patch_slice(
-    out: &mut [u8],
-    pos: usize,
-    kind: RelocKind,
-    target: u64,
-    field_addr: u64,
-    symbol: &str,
-) -> Result<(), LinkError> {
-    let width = kind.width();
-    let slice = &mut out[pos..pos + width];
     write_field(slice, kind, target, field_addr, symbol)
 }
 

@@ -36,7 +36,7 @@ use propeller_faults::{
 use propeller_obj::ContentHash;
 use propeller_synth::{generate, spec_by_name, BenchmarkSpec, GenParams};
 use propeller_telemetry::{Telemetry, TimeSeries, TENANT_LANE_BASE};
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::fmt;
 
 use crate::mix;
@@ -655,25 +655,8 @@ impl RelinkService {
         // Exact accounting per job: everything the job's injector
         // fired must be booked in its ledger, one-for-one.
         if let Some(inj) = pipeline.fault_injector() {
-            let books = [
-                (FaultKind::TransientActionFailure, ledger.action_retries),
-                (FaultKind::ActionTimeout, ledger.action_timeouts),
-                (FaultKind::CacheCorruption, ledger.cache_corruptions),
-                (FaultKind::CacheEviction, ledger.cache_evictions),
-                (FaultKind::LbrRecordCorruption, ledger.lbr_records_corrupted),
-                (FaultKind::SampleTruncation, ledger.lbr_samples_truncated),
-                (FaultKind::PermanentCodegenFailure, ledger.objects_fallen_back),
-            ];
-            for (kind, booked) in books {
-                let fired = inj.fired(kind);
-                if fired != booked {
-                    self.violations.push(format!(
-                        "job {} (t{tenant}): injector fired {fired} {} fault(s) but the \
-                         job ledger accounts for {booked}",
-                        req.id,
-                        kind.key()
-                    ));
-                }
+            for m in ledger.booking_mismatches(inj) {
+                self.violations.push(format!("job {} (t{tenant}): {m}", req.id));
             }
         }
         let binary = pipeline
@@ -847,4 +830,58 @@ pub fn batch_binary(
         source: propeller::PipelineError::PhaseOrder { needs: "phase 4" },
     })?;
     Ok(binary.image.clone())
+}
+
+/// What batch equivalence is keyed on: `(tenant, program_seed,
+/// job_seed, plan spec)`. Every completed job of one signature must
+/// ship the bytes of that signature's batch relink.
+pub type JobSignature = (u32, u64, u64, String);
+
+/// A completed job whose shipped image differs from its batch relink.
+#[derive(Clone, Debug)]
+pub struct BatchDivergence {
+    pub job: u64,
+    pub tenant: u32,
+    pub signature: JobSignature,
+}
+
+/// The outcome of [`verify_batch_equivalence`].
+#[derive(Clone, Debug)]
+pub struct BatchCheck {
+    /// Distinct signatures relinked in batch mode.
+    pub signatures: usize,
+    /// Every job that diverged, in signature order.
+    pub divergences: Vec<BatchDivergence>,
+}
+
+/// Check batch equivalence and idempotence over `completed`: one
+/// [`batch_binary`] relink (serial) per distinct [`JobSignature`],
+/// compared byte-for-byte against every same-signature service job.
+pub fn verify_batch_equivalence(
+    benchmark: &str,
+    scale: f64,
+    completed: &[CompletedJob],
+    profile_budget: u64,
+) -> Result<BatchCheck, ServeError> {
+    let mut by_sig: BTreeMap<JobSignature, Vec<&CompletedJob>> = BTreeMap::new();
+    for job in completed {
+        by_sig
+            .entry((job.tenant, job.program_seed, job.job_seed, job.plan.to_spec_string()))
+            .or_default()
+            .push(job);
+    }
+    let mut check = BatchCheck { signatures: by_sig.len(), divergences: Vec::new() };
+    for (signature, jobs_of_sig) in by_sig {
+        let batch = batch_binary(benchmark, scale, jobs_of_sig[0], 1, profile_budget)?;
+        for job in jobs_of_sig {
+            if job.image != batch {
+                check.divergences.push(BatchDivergence {
+                    job: job.id,
+                    tenant: job.tenant,
+                    signature: signature.clone(),
+                });
+            }
+        }
+    }
+    Ok(check)
 }

@@ -323,11 +323,6 @@ impl TraceData {
         self.spans.iter().find(|s| s.name == name)
     }
 
-    /// Every span named `name`.
-    pub fn spans_named(&self, name: &str) -> Vec<&SpanRecord> {
-        self.spans.iter().filter(|s| s.name == name).collect()
-    }
-
     /// Total simulated seconds across root spans (children are assumed
     /// to be attributed within their parents).
     pub fn total_sim_secs(&self) -> f64 {

@@ -101,14 +101,6 @@ impl Span {
         }
     }
 
-    /// Adds to the simulated seconds (for spans covering several
-    /// modeled steps).
-    pub fn add_sim_secs(&mut self, secs: f64) {
-        if let Some(l) = &mut self.live {
-            l.sim_secs += secs;
-        }
-    }
-
     /// Sets the peak bytes attributed to this span — the bridge from
     /// `buildsys::MemoryMeter::peak_bytes()` and action peak-RSS
     /// declarations.

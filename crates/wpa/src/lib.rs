@@ -28,7 +28,7 @@ mod options;
 mod prefetch;
 
 pub use cc_prof::{cluster_map_from_text, cluster_map_to_text, CcProfError};
-pub use dcfg::{Dcfg, DcfgEdge, DcfgFunction, EdgeFunding, EdgeKind, FundingRecord};
+pub use dcfg::{Dcfg, DcfgFunction, EdgeFunding, EdgeKind, FundingRecord};
 pub use layout::{
     run_wpa, run_wpa_agg_traced, run_wpa_traced, ClusterProvenance, FunctionProvenance,
     LayoutProvenance, RichFunctionRecord, RichProvenance, WpaOutput,

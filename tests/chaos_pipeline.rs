@@ -10,8 +10,10 @@
 use propeller::{
     EvalReport, FaultKind, FaultPlan, LayoutMode, Propeller, PropellerOptions, PropellerReport,
 };
+use propeller_bench::chaos::run_chaos_matrix;
 use propeller_doctor::RunReport;
 use propeller_integration_tests::small_benchmark;
+use propeller_synth::spec_by_name;
 use proptest::prelude::*;
 
 /// Runs the whole pipeline on a small clang under the given plan.
@@ -179,6 +181,28 @@ fn permanent_codegen_failure_ships_cached_baseline_objects() {
 
 /// Strategy: an arbitrary fault plan. Probabilities are drawn in
 /// [0, 1] (quantized), limits are small or absent.
+/// The library chaos matrix — the one the CLI `chaos` gate prints —
+/// survives end to end: every scenario completes, retires the
+/// baseline's blocks and books every fault, and the clean control stays
+/// ledger-clean.
+#[test]
+fn builtin_chaos_matrix_survives_every_scenario() {
+    let spec = spec_by_name("clang").expect("known benchmark");
+    let outcomes = run_chaos_matrix(&spec, 0.002, 77);
+    assert_eq!(outcomes.len(), 8);
+    for o in &outcomes {
+        assert!(o.violations.is_empty(), "{}: {:?}", o.name, o.violations);
+        assert!(o.ledger.is_some() && o.speedup_pct.is_some(), "{} did not complete", o.name);
+    }
+    let clean = outcomes.iter().find(|o| o.name == "zero-faults").expect("control scenario");
+    assert!(clean.ledger.as_ref().is_some_and(|l| l.is_clean()));
+    let loss = outcomes.iter().find(|o| o.name == "full-profile-loss").expect("loss scenario");
+    assert_eq!(
+        loss.ledger.as_ref().map(|l| l.layout_mode),
+        Some(LayoutMode::IdentityFallback)
+    );
+}
+
 fn arb_plan() -> impl Strategy<Value = FaultPlan> {
     prop::collection::vec((any::<u8>(), 0u8..6), 7).prop_map(|knobs| {
         let spec = |(p, lim): (u8, u8)| {
