@@ -8,6 +8,7 @@ use propeller_ir::{BlockId, Function, Module, Program};
 use propeller_obj::{
     BbAddrMap, FuncAddrMap, ObjectFile, Reloc, RelocKind, Section, SectionKind, Symbol,
 };
+use std::sync::Arc;
 
 /// Aggregate statistics from one codegen action; used by the build
 /// system's cost model.
@@ -24,13 +25,16 @@ pub struct ModuleStats {
 }
 
 /// The artifacts of one codegen action.
+///
+/// The object and layout are shared so a cached result can feed any
+/// number of links without being copied.
 #[derive(Clone, Debug)]
 pub struct CodegenResult {
     /// The relocatable object.
-    pub object: ObjectFile,
+    pub object: Arc<ObjectFile>,
     /// Side table with every block's placement (the simulator's "debug
     /// info").
-    pub debug_layout: DebugLayout,
+    pub debug_layout: Arc<DebugLayout>,
     /// Cost-model statistics.
     pub stats: ModuleStats,
 }
@@ -210,8 +214,8 @@ fn codegen_module_impl(
     }
 
     Ok(CodegenResult {
-        object,
-        debug_layout,
+        object: Arc::new(object),
+        debug_layout: Arc::new(debug_layout),
         stats,
     })
 }

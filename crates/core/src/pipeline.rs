@@ -586,7 +586,7 @@ impl Propeller {
         let (artifacts, actions, pool) = self.codegen_batch(&program, plan, span_id)?;
         let inputs: Vec<LinkInput> = artifacts
             .iter()
-            .map(|a| LinkInput::new(a.object.clone(), a.debug_layout.clone()))
+            .map(|a| LinkInput::new(Arc::clone(&a.object), Arc::clone(&a.debug_layout)))
             .collect();
         let (codegen_phase, res) =
             self.executor
@@ -894,7 +894,7 @@ impl Propeller {
         actions.append(&mut failed_actions);
         let inputs: Vec<LinkInput> = artifacts
             .iter()
-            .map(|a| LinkInput::new(a.object.clone(), a.debug_layout.clone()))
+            .map(|a| LinkInput::new(Arc::clone(&a.object), Arc::clone(&a.debug_layout)))
             .collect();
         let (codegen_phase, res) =
             self.executor
@@ -998,7 +998,7 @@ impl Propeller {
         let (artifacts, _, _) = self.codegen_batch(&program, plan, span_id)?;
         let inputs: Vec<LinkInput> = artifacts
             .iter()
-            .map(|a| LinkInput::new(a.object.clone(), a.debug_layout.clone()))
+            .map(|a| LinkInput::new(Arc::clone(&a.object), Arc::clone(&a.debug_layout)))
             .collect();
         let bin = Arc::new(link_traced(
             &inputs,

@@ -1,4 +1,9 @@
 //! The link action.
+//!
+//! Every stage is linear in the input, apart from the sort by ordering
+//! rank: sections are borrowed from the shared inputs (never copied),
+//! the symbol table borrows its names, and post-relaxation offsets come
+//! from one table per section, so a query costs O(log sites).
 
 use crate::binary::{
     FinalBlock, FinalFunctionLayout, FinalLayout, LinkStats, LinkedBinary, PlacedSection,
@@ -6,37 +11,46 @@ use crate::binary::{
 };
 use crate::error::LinkError;
 use crate::ordering::SymbolOrdering;
-use crate::relax::{assign_addresses, parse_sites, relax, resolve, Sec, SiteState};
+use crate::relax::{assign_addresses, parse_sites, relax, resolve, Sec, SiteState, SymTab};
 use propeller_codegen::isa::op;
 use propeller_codegen::DebugLayout;
-use propeller_obj::{BbAddrMap, ObjectFile, RelocKind, SectionKind, SizeBreakdown, SymbolKind};
+use propeller_obj::{
+    BbAddrMap, ObjectFile, Reloc, RelocKind, Section, SectionKind, SizeBreakdown, SymbolKind,
+};
 use propeller_telemetry::{SpanId, Telemetry};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One input to the link: an object file plus (optionally) the codegen
 /// layout side table used to build the simulator's [`FinalLayout`].
+///
+/// Both are shared, so handing a cached codegen result to the linker
+/// bumps a reference count instead of copying the object.
 #[derive(Clone, Debug)]
 pub struct LinkInput {
     /// The relocatable object.
-    pub object: ObjectFile,
+    pub object: Arc<ObjectFile>,
     /// The codegen layout table for this object's functions.
-    pub debug_layout: Option<DebugLayout>,
+    pub debug_layout: Option<Arc<DebugLayout>>,
 }
 
 impl LinkInput {
     /// Wraps an object with its layout table.
-    pub fn new(object: ObjectFile, debug_layout: DebugLayout) -> Self {
+    pub fn new(
+        object: impl Into<Arc<ObjectFile>>,
+        debug_layout: impl Into<Arc<DebugLayout>>,
+    ) -> Self {
         LinkInput {
-            object,
-            debug_layout: Some(debug_layout),
+            object: object.into(),
+            debug_layout: Some(debug_layout.into()),
         }
     }
 
     /// Wraps an object without layout info (its functions will be
     /// missing from the simulator's table).
-    pub fn opaque(object: ObjectFile) -> Self {
+    pub fn opaque(object: impl Into<Arc<ObjectFile>>) -> Self {
         LinkInput {
-            object,
+            object: object.into(),
             debug_layout: None,
         }
     }
@@ -90,9 +104,10 @@ pub fn link(inputs: &[LinkInput], opts: &LinkOptions) -> Result<LinkedBinary, Li
 }
 
 /// [`link`], plus telemetry: a `link:<output>` span under `parent`
-/// with `link.ordering` / `link.relax` / `link.emit` stage children,
-/// a `link.relax_iterations` counter (fixpoint sweeps), and
-/// `link.deleted_jumps` / `link.shrunk_branches` counters.
+/// with `link.inputs` / `link.ordering` / `link.relax` / `link.emit` /
+/// `link.metadata` stage children, a `link.relax_iterations` counter
+/// (fixpoint sweeps), and `link.deleted_jumps` / `link.shrunk_branches`
+/// counters.
 ///
 /// # Errors
 ///
@@ -116,32 +131,27 @@ fn link_impl(
     tel: &Telemetry,
     link_id: Option<SpanId>,
 ) -> Result<LinkedBinary, LinkError> {
-    // Flatten sections and build the global symbol table.
-    let mut secs: Vec<Sec> = Vec::new();
-    let mut symtab: HashMap<String, (usize, u32)> = HashMap::new();
+    // Flatten sections, check relocation bounds and build the global
+    // symbol table.
+    let inputs_span = tel.span_under("link.inputs", link_id);
+    let objects = || inputs.iter().map(|i| &*i.object);
+    let mut secs: Vec<Sec> = Vec::with_capacity(objects().map(|o| o.sections().len()).sum());
+    let mut symtab: SymTab = HashMap::with_capacity(objects().map(|o| o.symbols().len()).sum());
+    // Text section index -> the global function symbol at its start.
+    let mut primary_symbol: HashMap<usize, &str> = HashMap::new();
     let mut obj_has_relaxable: Vec<bool> = Vec::with_capacity(inputs.len());
     let mut input_bytes = 0u64;
     let mut total_relocs = 0usize;
     for (oi, input) in inputs.iter().enumerate() {
-        let obj = &input.object;
+        let obj = &*input.object;
         input_bytes += obj.size_breakdown().total() as u64;
         let mut has_relaxable = false;
         let sec_base = secs.len();
         for s in obj.sections() {
+            check_reloc_bounds(&obj.name, s)?;
             total_relocs += s.relocs.len();
             has_relaxable |= s.relaxable && s.kind == SectionKind::Text;
-            secs.push(Sec {
-                obj_idx: oi,
-                name: s.name.clone(),
-                kind: s.kind,
-                bytes: s.bytes.clone(),
-                relocs: s.relocs.clone(),
-                block_map: s.block_map.clone(),
-                relaxable: s.relaxable,
-                align: s.align,
-                sites: Vec::new(),
-                addr: 0,
-            });
+            secs.push(Sec::new(oi, s));
         }
         obj_has_relaxable.push(has_relaxable);
         for sym in obj.symbols() {
@@ -149,39 +159,24 @@ fn link_impl(
                 continue;
             }
             let gidx = sec_base + sym.section.index();
-            if symtab
-                .insert(sym.name.clone(), (gidx, sym.offset))
-                .is_some()
-            {
+            if symtab.insert(&sym.name, (gidx, sym.offset)).is_some() {
                 return Err(LinkError::DuplicateSymbol(sym.name.clone()));
+            }
+            if sym.kind == SymbolKind::Func && sym.offset == 0 {
+                primary_symbol.insert(gidx, &sym.name);
             }
         }
     }
+    drop(inputs_span);
 
     // Text ordering: symbol-ordering-file rank first, then input order.
-    let primary_symbol: HashMap<usize, &str> = inputs
-        .iter()
-        .scan(0usize, |base, input| {
-            let start = *base;
-            *base += input.object.sections().len();
-            Some((start, input))
-        })
-        .flat_map(|(start, input)| {
-            input
-                .object
-                .symbols()
-                .iter()
-                .filter(|s| s.global && s.kind == SymbolKind::Func && s.offset == 0)
-                .map(move |s| (start + s.section.index(), s.name.as_str()))
-        })
-        .collect();
-    let mut text_order: Vec<usize> = (0..secs.len())
-        .filter(|&i| secs[i].kind == SectionKind::Text)
-        .collect();
-    {
+    let text_order = {
         let _ordering_span = tel.span_under("link.ordering", link_id);
+        let mut text_order: Vec<usize> = (0..secs.len())
+            .filter(|&i| secs[i].section.kind == SectionKind::Text)
+            .collect();
         if let Some(order) = &opts.symbol_order {
-            text_order.sort_by_key(|&i| {
+            text_order.sort_by_cached_key(|&i| {
                 let rank = primary_symbol
                     .get(&i)
                     .and_then(|name| order.rank(name))
@@ -189,23 +184,15 @@ fn link_impl(
                 (rank, i)
             });
         }
-    }
+        text_order
+    };
 
     // Relaxation.
     let (deleted, shrunk) = if opts.relax {
         let _relax_span = tel.span_under("link.relax", link_id);
         for s in secs.iter_mut() {
-            if s.relaxable && s.kind == SectionKind::Text {
-                let section = propeller_obj::Section {
-                    name: s.name.clone(),
-                    kind: s.kind,
-                    bytes: s.bytes.clone(),
-                    relocs: s.relocs.clone(),
-                    align: s.align,
-                    block_map: s.block_map.clone(),
-                    relaxable: true,
-                };
-                s.sites = parse_sites(&section)?;
+            if s.section.relaxable && s.section.kind == SectionKind::Text {
+                s.set_sites(parse_sites(s.section)?);
             }
         }
         let (deleted, shrunk, iters) = relax(&mut secs, &text_order, &symtab, opts.base)?;
@@ -220,12 +207,14 @@ fn link_impl(
     };
 
     let text_end = assign_addresses(&mut secs, &text_order, opts.base);
-    let image_end = secs
-        .iter()
-        .filter(|s| s.kind.is_loaded())
+    let loaded = || secs.iter().filter(|s| s.section.kind.is_loaded());
+    let image_end = loaded()
         .map(|s| s.addr + s.final_size() as u64)
         .max()
         .unwrap_or(opts.base);
+    // The image covers [base, image_end); sections are placed relative
+    // to the smallest loaded address, which is the link base.
+    let min_addr = loaded().map(|s| s.addr).min().unwrap_or(opts.base);
 
     // Emit the image.
     let emit_span = tel.span_under("link.emit", link_id);
@@ -239,20 +228,22 @@ fn link_impl(
             prev_end = secs[i].addr + secs[i].final_size() as u64;
         }
     }
-    for i in 0..secs.len() {
-        if !secs[i].kind.is_loaded() {
-            continue;
-        }
-        emit_section(&mut image, &secs, i, &symtab, inputs)?;
+    for sec in loaded() {
+        let start = (sec.addr - min_addr) as usize;
+        let dst = &mut image[start..start + sec.final_size() as usize];
+        emit_section(dst, &secs, sec, &symtab, &inputs[sec.obj_idx].object.name)?;
     }
     drop(emit_span);
 
     // Build the output symbol map.
-    let mut symbols = HashMap::with_capacity(symtab.len());
-    for (name, &(sec_idx, off)) in &symtab {
-        let sec = &secs[sec_idx];
-        symbols.insert(name.clone(), sec.addr + sec.new_offset(off) as u64);
-    }
+    let metadata_span = tel.span_under("link.metadata", link_id);
+    let symbols = symtab
+        .iter()
+        .map(|(&name, &(sec_idx, off))| {
+            let sec = &secs[sec_idx];
+            (name.to_string(), sec.addr + sec.new_offset(off) as u64)
+        })
+        .collect();
 
     // Merge metadata and compute the size breakdown.
     let mut bb_addr_map = BbAddrMap::default();
@@ -261,9 +252,10 @@ fn link_impl(
         ..SizeBreakdown::default()
     };
     for s in &secs {
-        match s.kind {
+        let len = s.section.bytes.len();
+        match s.section.kind {
             SectionKind::Text => {}
-            SectionKind::EhFrame => breakdown.eh_frame += s.bytes.len(),
+            SectionKind::EhFrame => breakdown.eh_frame += len,
             SectionKind::BbAddrMap => {
                 if opts.strip_bb_addr_map {
                     continue;
@@ -272,19 +264,19 @@ fn link_impl(
                     continue;
                 }
                 let decoded =
-                    BbAddrMap::decode(&s.bytes).map_err(|e| LinkError::BadMetadata {
+                    BbAddrMap::decode(&s.section.bytes).map_err(|e| LinkError::BadMetadata {
                         object: inputs[s.obj_idx].object.name.clone(),
                         detail: e.to_string(),
                     })?;
                 bb_addr_map.merge(decoded);
             }
-            SectionKind::Rela => breakdown.relocs += s.bytes.len(),
+            SectionKind::Rela => breakdown.relocs += len,
             SectionKind::RoData | SectionKind::DebugRanges | SectionKind::Other => {
-                breakdown.other += s.bytes.len()
+                breakdown.other += len
             }
         }
     }
-    breakdown.bb_addr_map = bb_addr_map.encode().len();
+    breakdown.bb_addr_map = bb_addr_map.encoded_len();
     if bb_addr_map.functions.is_empty() {
         breakdown.bb_addr_map = 0;
     }
@@ -299,15 +291,15 @@ fn link_impl(
             continue;
         };
         for fl in &dl.functions {
-            let mut blocks = Vec::new();
+            let mut blocks = Vec::with_capacity(fl.fragments.iter().map(|f| f.blocks.len()).sum());
             for frag in &fl.fragments {
                 let &(sec_idx, sym_off) =
-                    symtab
-                        .get(&frag.section_symbol)
-                        .ok_or_else(|| LinkError::UndefinedSymbol {
+                    symtab.get(frag.section_symbol.as_str()).ok_or_else(|| {
+                        LinkError::UndefinedSymbol {
                             symbol: frag.section_symbol.clone(),
                             object: input.object.name.clone(),
-                        })?;
+                        }
+                    })?;
                 debug_assert_eq!(sym_off, 0, "fragment symbols name section starts");
                 let sec = &secs[sec_idx];
                 for p in &frag.blocks {
@@ -337,7 +329,7 @@ fn link_impl(
             let s = &secs[i];
             let mut deleted_jumps = 0u32;
             let mut shrunk_branches = 0u32;
-            for site in &s.sites {
+            for site in s.sites() {
                 match site.state {
                     SiteState::Deleted => deleted_jumps += 1,
                     SiteState::Short => shrunk_branches += 1,
@@ -347,10 +339,10 @@ fn link_impl(
             SymbolPlacement {
                 symbol: primary_symbol
                     .get(&i)
-                    .map_or_else(|| s.name.clone(), |n| (*n).to_string()),
+                    .map_or_else(|| s.section.name.clone(), |n| (*n).to_string()),
                 order: pos as u32,
                 addr: s.addr,
-                input_size: s.bytes.len() as u64,
+                input_size: s.section.bytes.len() as u64,
                 final_size: s.final_size() as u64,
                 deleted_jumps,
                 shrunk_branches,
@@ -361,12 +353,13 @@ fn link_impl(
     let placed = secs
         .iter()
         .map(|s| PlacedSection {
-            name: s.name.clone(),
-            kind: s.kind,
+            name: s.section.name.clone(),
+            kind: s.section.kind,
             addr: s.addr,
             size: s.final_size() as u64,
         })
         .collect();
+    drop(metadata_span);
 
     let stats = LinkStats {
         input_bytes,
@@ -393,109 +386,121 @@ fn link_impl(
     })
 }
 
-/// Emits one loaded section into the image, applying relocations and
-/// relaxation decisions.
-fn emit_section(
-    image: &mut [u8],
-    secs: &[Sec],
-    idx: usize,
-    symtab: &HashMap<String, (usize, u32)>,
-    inputs: &[LinkInput],
-) -> Result<(), LinkError> {
-    let sec = &secs[idx];
-    let obj_name = &inputs[sec.obj_idx].object.name;
-    // The image covers [base, image_end); translate by the smallest
-    // loaded address, which is the link base.
-    //
-    // Infallible: `emit_section` is only called with the index of a
-    // loaded section (the caller iterates the loaded set), so the
-    // filtered iterator contains at least `secs[idx]` itself.
-    let min_addr = secs
+/// Rejects a relocation whose field runs past its section: applied
+/// blindly, it would overwrite the next section's bytes in the image.
+fn check_reloc_bounds(object: &str, s: &Section) -> Result<(), LinkError> {
+    match s
+        .relocs
         .iter()
-        .filter(|s| s.kind.is_loaded())
-        .map(|s| s.addr)
-        .min()
-        .expect("at least one loaded section");
-    let start = (sec.addr - min_addr) as usize;
+        .find(|r| r.offset as usize + r.kind.width() > s.bytes.len())
+    {
+        Some(r) => Err(reloc_overrun(
+            object,
+            &s.name,
+            r,
+            r.offset as usize,
+            s.bytes.len(),
+        )),
+        None => Ok(()),
+    }
+}
 
-    if sec.sites.is_empty() {
-        // Copy and patch in place.
-        let end = start + sec.bytes.len();
-        image[start..end].copy_from_slice(&sec.bytes);
-        for r in &sec.relocs {
+fn reloc_overrun(object: &str, section: &str, r: &Reloc, at: usize, len: usize) -> LinkError {
+    LinkError::BadMetadata {
+        object: object.to_string(),
+        detail: format!(
+            "{:?} relocation against {:?} at offset {at} overruns the {len}-byte section {section}",
+            r.kind, r.symbol
+        ),
+    }
+}
+
+/// Emits one loaded section into `dst` (exactly its final-size slot in
+/// the image), applying relocations and relaxation decisions.
+fn emit_section(
+    dst: &mut [u8],
+    secs: &[Sec],
+    sec: &Sec,
+    symtab: &SymTab,
+    obj_name: &str,
+) -> Result<(), LinkError> {
+    let bytes = &sec.section.bytes;
+    if sec.sites().is_empty() {
+        // Copy and patch in place; the fields were bounds-checked when
+        // the inputs were flattened.
+        dst.copy_from_slice(bytes);
+        for r in &sec.section.relocs {
             let target = resolve(secs, symtab, &r.symbol, r.addend, obj_name)?;
-            patch(
-                image,
-                start + r.offset as usize,
+            let at = r.offset as usize;
+            let field_addr = sec.addr + r.offset as u64;
+            write_field(
+                &mut dst[at..at + r.kind.width()],
                 r.kind,
                 target,
-                sec.addr + r.offset as u64,
+                field_addr,
                 &r.symbol,
             )?;
         }
-    } else {
-        // Rebuild: walk original bytes around the relaxed branch sites.
-        let mut out = Vec::with_capacity(sec.bytes.len());
-        let mut cursor = 0usize;
-        for site in &sec.sites {
-            out.extend_from_slice(&sec.bytes[cursor..site.inst_start as usize]);
-            let target = resolve(secs, symtab, &site.symbol, site.addend, obj_name)?;
-            let inst_addr = sec.addr + out.len() as u64;
-            match site.state {
-                SiteState::Deleted => {}
-                SiteState::Short => {
-                    let disp = target as i64 - (inst_addr as i64 + 2);
-                    let d8 = i8::try_from(disp).map_err(|_| LinkError::DisplacementOverflow {
-                        symbol: site.symbol.clone(),
-                    })?;
-                    out.push(if site.cond { op::BR_SHORT } else { op::JMP_SHORT });
-                    out.push(d8 as u8);
-                }
-                SiteState::Long => {
-                    let disp = target as i64 - (inst_addr as i64 + site.orig_len as i64);
-                    let d32 = i32::try_from(disp).map_err(|_| LinkError::DisplacementOverflow {
-                        symbol: site.symbol.clone(),
-                    })?;
-                    if site.cond {
-                        out.extend_from_slice(&[op::BR_LONG, 0]);
-                    } else {
-                        out.push(op::JMP_LONG);
-                    }
-                    out.extend_from_slice(&d32.to_le_bytes());
-                }
+        return Ok(());
+    }
+
+    // Rebuild: walk original bytes around the relaxed branch sites.
+    let mut w = 0usize;
+    let mut put = |w: &mut usize, b: &[u8]| {
+        dst[*w..*w + b.len()].copy_from_slice(b);
+        *w += b.len();
+    };
+    let mut cursor = 0usize;
+    for site in sec.sites() {
+        put(&mut w, &bytes[cursor..site.inst_start as usize]);
+        let target = resolve(secs, symtab, site.symbol, site.addend, obj_name)?;
+        let inst_addr = sec.addr + w as u64;
+        match site.state {
+            SiteState::Deleted => {}
+            SiteState::Short => {
+                let disp = target as i64 - (inst_addr as i64 + 2);
+                let d8 = i8::try_from(disp).map_err(|_| LinkError::DisplacementOverflow {
+                    symbol: site.symbol.to_string(),
+                })?;
+                let opcode = if site.cond {
+                    op::BR_SHORT
+                } else {
+                    op::JMP_SHORT
+                };
+                put(&mut w, &[opcode, d8 as u8]);
             }
-            cursor = (site.inst_start + site.orig_len) as usize;
-        }
-        out.extend_from_slice(&sec.bytes[cursor..]);
-        debug_assert_eq!(out.len(), sec.final_size() as usize);
-        // Patch the remaining (non-branch) relocations at their moved
-        // offsets.
-        for r in &sec.relocs {
-            if r.kind == RelocKind::BranchPc32 {
-                continue;
+            SiteState::Long => {
+                let disp = target as i64 - (inst_addr as i64 + site.orig_len as i64);
+                let d32 = i32::try_from(disp).map_err(|_| LinkError::DisplacementOverflow {
+                    symbol: site.symbol.to_string(),
+                })?;
+                if site.cond {
+                    put(&mut w, &[op::BR_LONG, 0]);
+                } else {
+                    put(&mut w, &[op::JMP_LONG]);
+                }
+                put(&mut w, &d32.to_le_bytes());
             }
-            let target = resolve(secs, symtab, &r.symbol, r.addend, obj_name)?;
-            let new_off = sec.new_offset(r.offset) as usize;
-            let field_addr = sec.addr + new_off as u64;
-            patch(&mut out, new_off, r.kind, target, field_addr, &r.symbol)?;
         }
-        let end = start + out.len();
-        image[start..end].copy_from_slice(&out);
+        cursor = site.end() as usize;
+    }
+    put(&mut w, &bytes[cursor..]);
+    debug_assert_eq!(w, dst.len());
+    // Patch the remaining (non-branch) relocations at their moved
+    // offsets, which relaxation may have pushed past the section end.
+    let len = dst.len();
+    for r in &sec.section.relocs {
+        if r.kind == RelocKind::BranchPc32 {
+            continue;
+        }
+        let target = resolve(secs, symtab, &r.symbol, r.addend, obj_name)?;
+        let at = sec.new_offset(r.offset) as usize;
+        let field = dst
+            .get_mut(at..at + r.kind.width())
+            .ok_or_else(|| reloc_overrun(obj_name, &sec.section.name, r, at, len))?;
+        write_field(field, r.kind, target, sec.addr + at as u64, &r.symbol)?;
     }
     Ok(())
-}
-
-fn patch(
-    image: &mut [u8],
-    pos: usize,
-    kind: RelocKind,
-    target: u64,
-    field_addr: u64,
-    symbol: &str,
-) -> Result<(), LinkError> {
-    let width = kind.width();
-    let slice = &mut image[pos..pos + width];
-    write_field(slice, kind, target, field_addr, symbol)
 }
 
 fn write_field(

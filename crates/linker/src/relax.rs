@@ -10,12 +10,16 @@
 
 use crate::error::LinkError;
 use propeller_codegen::isa::{fits_short, op};
-use propeller_obj::{BlockSpan, Reloc, RelocKind, Section, SectionKind};
+use propeller_obj::{RelocKind, Section, SectionKind};
 use std::collections::HashMap;
+
+/// The global symbol table: name (borrowed from the inputs) to
+/// `(section index, offset)`.
+pub(crate) type SymTab<'a> = HashMap<&'a str, (usize, u32)>;
 
 /// A branch site inside a relaxable section.
 #[derive(Clone, Debug)]
-pub(crate) struct Site {
+pub(crate) struct Site<'a> {
     /// Offset of the instruction start (original, pre-relaxation).
     pub inst_start: u32,
     /// Original encoded length (6 for cond, 5 for jmp).
@@ -23,7 +27,7 @@ pub(crate) struct Site {
     /// Conditional branch (`true`) or unconditional jump (`false`).
     pub cond: bool,
     /// Target symbol.
-    pub symbol: String,
+    pub symbol: &'a str,
     /// Target addend (block offset within the target section).
     pub addend: i64,
     /// Current form decision.
@@ -41,7 +45,7 @@ pub(crate) enum SiteState {
     Deleted,
 }
 
-impl Site {
+impl Site<'_> {
     /// Current encoded length under `state`.
     pub fn cur_len(&self) -> u32 {
         match self.state {
@@ -55,56 +59,98 @@ impl Site {
     pub fn savings(&self) -> u32 {
         self.orig_len - self.cur_len()
     }
+
+    /// One past the last original byte of the instruction.
+    pub fn end(&self) -> u32 {
+        self.inst_start + self.orig_len
+    }
 }
 
-/// A section being linked, with its relaxation state.
+/// A section being linked: the borrowed input section plus its
+/// relaxation state.
 #[derive(Clone, Debug)]
-pub(crate) struct Sec {
+pub(crate) struct Sec<'a> {
     /// Index of the owning input object.
     pub obj_idx: usize,
-    /// Section name.
-    pub name: String,
-    /// Content kind.
-    pub kind: SectionKind,
-    /// Original bytes.
-    pub bytes: Vec<u8>,
-    /// Original relocations.
-    pub relocs: Vec<Reloc>,
-    /// Original block spans.
-    pub block_map: Vec<BlockSpan>,
-    /// Whether relaxation may rewrite this section.
-    pub relaxable: bool,
-    /// Alignment.
-    pub align: u32,
+    /// The input section (bytes, relocations, name, kind, alignment).
+    pub section: &'a Section,
     /// Parsed branch sites (relaxable sections only), sorted by
-    /// `inst_start`.
-    pub sites: Vec<Site>,
+    /// `inst_start` and non-overlapping.
+    sites: Vec<Site<'a>>,
+    /// The offset table: for every site that currently saves bytes, in
+    /// order, its original end offset and the bytes saved by it and all
+    /// sites before it. Rebuilt whenever a site state changes.
+    saved: Vec<(u32, u32)>,
     /// Assigned virtual address.
     pub addr: u64,
 }
 
-impl Sec {
-    /// Maps an original offset to its post-relaxation offset.
+impl<'a> Sec<'a> {
+    /// A section with no branch sites, not yet placed.
+    pub fn new(obj_idx: usize, section: &'a Section) -> Self {
+        Sec {
+            obj_idx,
+            section,
+            sites: Vec::new(),
+            saved: Vec::new(),
+            addr: 0,
+        }
+    }
+
+    /// The branch sites, sorted by `inst_start`.
+    pub fn sites(&self) -> &[Site<'a>] {
+        &self.sites
+    }
+
+    /// Installs the section's branch sites (from [`parse_sites`]).
+    pub fn set_sites(&mut self, sites: Vec<Site<'a>>) {
+        self.sites = sites;
+        self.rebuild_offsets();
+    }
+
+    /// Sets the state of each `(site index, state)` pair, then rebuilds
+    /// the offset table once.
+    pub fn update_states(&mut self, updates: impl IntoIterator<Item = (usize, SiteState)>) {
+        for (k, state) in updates {
+            self.sites[k].state = state;
+        }
+        self.rebuild_offsets();
+    }
+
+    fn rebuild_offsets(&mut self) {
+        self.saved.clear();
+        let mut total = 0u32;
+        for site in &self.sites {
+            let s = site.savings();
+            if s > 0 {
+                total += s;
+                self.saved.push((site.end(), total));
+            }
+        }
+    }
+
+    /// Bytes saved by every site.
+    pub fn total_saved(&self) -> u32 {
+        self.saved.last().map_or(0, |&(_, total)| total)
+    }
+
+    /// Maps an original offset to its post-relaxation offset: every site
+    /// that ends at or before `orig` moves it down by its savings.
     pub fn new_offset(&self, orig: u32) -> u32 {
-        let saved: u32 = self
-            .sites
-            .iter()
-            .take_while(|s| s.inst_start + s.orig_len <= orig)
-            .map(Site::savings)
-            .sum();
-        orig - saved
+        let k = self.saved.partition_point(|&(end, _)| end <= orig);
+        orig - k.checked_sub(1).map_or(0, |i| self.saved[i].1)
     }
 
     /// Final size after relaxation.
     pub fn final_size(&self) -> u32 {
-        self.new_offset(self.bytes.len() as u32)
+        self.new_offset(self.section.bytes.len() as u32)
     }
 
     /// Whether `site_idx` is the final instruction of the section (the
     /// only position where a fall-through jump can be deleted).
     pub fn is_tail(&self, site_idx: usize) -> bool {
         let s = &self.sites[site_idx];
-        !s.cond && s.inst_start + s.orig_len == self.bytes.len() as u32
+        !s.cond && s.end() == self.section.bytes.len() as u32
     }
 }
 
@@ -114,55 +160,55 @@ impl Sec {
 /// relocated field: a `JMP_LONG` opcode immediately precedes the field
 /// for jumps; a `BR_LONG` opcode two bytes before (with a zero condition
 /// byte between) identifies conditional branches.
-pub(crate) fn parse_sites(section: &Section) -> Result<Vec<Site>, LinkError> {
+pub(crate) fn parse_sites(section: &Section) -> Result<Vec<Site<'_>>, LinkError> {
+    let bad = |detail: String| LinkError::BadMetadata {
+        object: section.name.clone(),
+        detail,
+    };
     let mut sites = Vec::new();
     for r in &section.relocs {
         if r.kind != RelocKind::BranchPc32 {
             continue;
         }
         let off = r.offset as usize;
-        // A relocation pointing past the section would make the opcode
-        // peeks below index out of bounds — corrupt metadata must
-        // surface as a typed error, not a panic.
-        if off > section.bytes.len() {
-            return Err(LinkError::BadMetadata {
-                object: section.name.clone(),
-                detail: format!(
-                    "branch relocation at {} points outside the {}-byte section",
-                    r.offset,
-                    section.bytes.len()
-                ),
-            });
+        // A field running past the section would make the opcode peeks
+        // below (or the emitter) index out of bounds — corrupt metadata
+        // must surface as a typed error, not a panic.
+        if off + r.kind.width() > section.bytes.len() {
+            return Err(bad(format!(
+                "branch relocation at {} points outside the {}-byte section",
+                r.offset,
+                section.bytes.len()
+            )));
         }
         // In-bounds by the check above: `off - 1`/`off - 2` < `off`
-        // ≤ `bytes.len()`.
-        let site = if off >= 1 && section.bytes[off - 1] == op::JMP_LONG {
-            Site {
-                inst_start: r.offset - 1,
-                orig_len: 5,
-                cond: false,
-                symbol: r.symbol.clone(),
-                addend: r.addend,
-                state: SiteState::Long,
-            }
+        // < `bytes.len()`.
+        let (inst_start, orig_len, cond) = if off >= 1 && section.bytes[off - 1] == op::JMP_LONG {
+            (r.offset - 1, 5, false)
         } else if off >= 2 && section.bytes[off - 2] == op::BR_LONG {
-            Site {
-                inst_start: r.offset - 2,
-                orig_len: 6,
-                cond: true,
-                symbol: r.symbol.clone(),
-                addend: r.addend,
-                state: SiteState::Long,
-            }
+            (r.offset - 2, 6, true)
         } else {
-            return Err(LinkError::BadMetadata {
-                object: section.name.clone(),
-                detail: format!("branch relocation at {} has no branch opcode", r.offset),
-            });
+            return Err(bad(format!(
+                "branch relocation at {} has no branch opcode",
+                r.offset
+            )));
         };
-        sites.push(site);
+        sites.push(Site {
+            inst_start,
+            orig_len,
+            cond,
+            symbol: &r.symbol,
+            addend: r.addend,
+            state: SiteState::Long,
+        });
     }
     sites.sort_by_key(|s| s.inst_start);
+    if let Some(w) = sites.windows(2).find(|w| w[1].inst_start < w[0].end()) {
+        return Err(bad(format!(
+            "branch sites at {} and {} overlap",
+            w[0].inst_start, w[1].inst_start
+        )));
+    }
     Ok(sites)
 }
 
@@ -171,17 +217,17 @@ pub(crate) fn parse_sites(section: &Section) -> Result<Vec<Site>, LinkError> {
 pub(crate) fn assign_addresses(secs: &mut [Sec], text_order: &[usize], base: u64) -> u64 {
     let mut cursor = base;
     for &i in text_order {
-        let align = secs[i].align.max(1) as u64;
+        let align = secs[i].section.align.max(1) as u64;
         cursor = cursor.div_ceil(align) * align;
         secs[i].addr = cursor;
         cursor += secs[i].final_size() as u64;
     }
     let text_end = cursor;
     for s in secs.iter_mut() {
-        if s.kind == SectionKind::RoData {
+        if s.section.kind == SectionKind::RoData {
             cursor = cursor.div_ceil(16) * 16;
             s.addr = cursor;
-            cursor += s.bytes.len() as u64;
+            cursor += s.section.bytes.len() as u64;
         }
     }
     text_end
@@ -190,7 +236,7 @@ pub(crate) fn assign_addresses(secs: &mut [Sec], text_order: &[usize], base: u64
 /// Resolves `symbol + addend` to a final virtual address.
 pub(crate) fn resolve(
     secs: &[Sec],
-    symtab: &HashMap<String, (usize, u32)>,
+    symtab: &SymTab,
     symbol: &str,
     addend: i64,
     object: &str,
@@ -216,7 +262,7 @@ pub(crate) fn resolve(
 pub(crate) fn relax(
     secs: &mut [Sec],
     text_order: &[usize],
-    symtab: &HashMap<String, (usize, u32)>,
+    symtab: &SymTab,
     base: u64,
 ) -> Result<(u64, u64, u64), LinkError> {
     const MAX_ITERS: usize = 64;
@@ -234,19 +280,12 @@ pub(crate) fn relax(
         // Compute fresh decisions against current addresses.
         let mut new_states: Vec<(usize, usize, SiteState)> = Vec::new();
         for &si in text_order {
-            if !secs[si].relaxable {
+            let sec = &secs[si];
+            if !sec.section.relaxable {
                 continue;
             }
-            for k in 0..secs[si].sites.len() {
-                let target = resolve(
-                    secs,
-                    symtab,
-                    &secs[si].sites[k].symbol,
-                    secs[si].sites[k].addend,
-                    &secs[si].name,
-                )?;
-                let sec = &secs[si];
-                let site = &sec.sites[k];
+            for (k, site) in sec.sites().iter().enumerate() {
+                let target = resolve(secs, symtab, site.symbol, site.addend, &sec.section.name)?;
                 let state = if sec.is_tail(k)
                     && tail_deletable(secs, symtab, si, k, next_in_order.get(&si).copied())
                 {
@@ -269,8 +308,9 @@ pub(crate) fn relax(
             stable = true;
             break;
         }
-        for (si, k, st) in new_states {
-            secs[si].sites[k].state = st;
+        // Updates arrive grouped by section: one table rebuild each.
+        for group in new_states.chunk_by(|a, b| a.0 == b.0) {
+            secs[group[0].0].update_states(group.iter().map(|&(_, k, st)| (k, st)));
         }
     }
 
@@ -280,7 +320,7 @@ pub(crate) fn relax(
             let mut deleted = 0;
             let mut shrunk = 0;
             for s in secs.iter() {
-                for site in &s.sites {
+                for site in s.sites() {
                     match site.state {
                         SiteState::Deleted => deleted += 1,
                         SiteState::Short => shrunk += 1,
@@ -293,9 +333,8 @@ pub(crate) fn relax(
     }
     // Fallback: no relaxation (always correct).
     for s in secs.iter_mut() {
-        for site in &mut s.sites {
-            site.state = SiteState::Long;
-        }
+        let n = s.sites().len();
+        s.update_states((0..n).map(|k| (k, SiteState::Long)));
     }
     assign_addresses(secs, text_order, base);
     Ok((0, 0, iters))
@@ -311,7 +350,7 @@ pub(crate) fn relax(
 /// target's address itself shifts when the jump is deleted.
 fn tail_deletable(
     secs: &[Sec],
-    symtab: &HashMap<String, (usize, u32)>,
+    symtab: &SymTab,
     sec_idx: usize,
     site_idx: usize,
     next_idx: Option<usize>,
@@ -320,8 +359,8 @@ fn tail_deletable(
         return false;
     };
     let sec = &secs[sec_idx];
-    let site = &sec.sites[site_idx];
-    let Some(&(tsec_idx, sym_off)) = symtab.get(&site.symbol) else {
+    let site = &sec.sites()[site_idx];
+    let Some(&(tsec_idx, sym_off)) = symtab.get(site.symbol) else {
         return false;
     };
     if tsec_idx != ni {
@@ -335,31 +374,25 @@ fn tail_deletable(
     // End address of this section assuming the tail jump is deleted:
     // every other site's current savings apply, plus this site's full
     // length. The next section must start exactly there (no padding).
-    let saved: u32 = sec
-        .sites
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| i != site_idx)
-        .map(|(_, s)| s.savings())
-        .sum();
-    let end = sec.addr + (sec.bytes.len() as u32 - saved - site.orig_len) as u64;
-    end.is_multiple_of(tsec.align.max(1) as u64)
+    let saved = sec.total_saved() - site.savings();
+    let end = sec.addr + (sec.section.bytes.len() as u32 - saved - site.orig_len) as u64;
+    end.is_multiple_of(tsec.section.align.max(1) as u64)
 }
 
 /// Checks every decision against final addresses.
 fn verify(
     secs: &[Sec],
     text_order: &[usize],
-    symtab: &HashMap<String, (usize, u32)>,
+    symtab: &SymTab,
     next_in_order: &HashMap<usize, usize>,
 ) -> Result<bool, LinkError> {
     for &si in text_order {
         let sec = &secs[si];
-        if !sec.relaxable {
+        if !sec.section.relaxable {
             continue;
         }
-        for (k, site) in sec.sites.iter().enumerate() {
-            let target = resolve(secs, symtab, &site.symbol, site.addend, &sec.name)?;
+        for (k, site) in sec.sites().iter().enumerate() {
+            let target = resolve(secs, symtab, site.symbol, site.addend, &sec.section.name)?;
             match site.state {
                 SiteState::Deleted => {
                     let ok = sec.is_tail(k)
@@ -385,53 +418,114 @@ fn verify(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use propeller_obj::Reloc;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-    fn sec_with_sites(size: u32, sites: Vec<Site>) -> Sec {
-        Sec {
-            obj_idx: 0,
-            name: ".text.t".into(),
-            kind: SectionKind::Text,
-            bytes: vec![0; size as usize],
-            relocs: Vec::new(),
-            block_map: Vec::new(),
-            relaxable: true,
-            align: 1,
-            sites,
-            addr: 0,
-        }
+    fn text(size: u32) -> Section {
+        let mut s = Section::new(".text.t", SectionKind::Text, vec![0; size as usize]);
+        s.align = 1;
+        s.relaxable = true;
+        s
     }
 
-    fn jmp_site(inst_start: u32, state: SiteState) -> Site {
+    fn sec_with_sites<'a>(section: &'a Section, sites: Vec<Site<'a>>) -> Sec<'a> {
+        let mut s = Sec::new(0, section);
+        s.set_sites(sites);
+        s
+    }
+
+    fn jmp_site(inst_start: u32, state: SiteState) -> Site<'static> {
         Site {
             inst_start,
             orig_len: 5,
             cond: false,
-            symbol: "x".into(),
+            symbol: "x",
             addend: 0,
             state,
         }
     }
 
+    /// The definition the offset table replaces: a linear prefix scan
+    /// over the sites. Kept as the reference for the equivalence test.
+    fn linear_new_offset(sites: &[Site], orig: u32) -> u32 {
+        let saved: u32 = sites
+            .iter()
+            .take_while(|s| s.inst_start + s.orig_len <= orig)
+            .map(Site::savings)
+            .sum();
+        orig - saved
+    }
+
     #[test]
     fn new_offset_accounts_for_savings() {
-        let mut s = sec_with_sites(20, vec![jmp_site(5, SiteState::Short)]);
+        let section = text(20);
+        let mut s = sec_with_sites(&section, vec![jmp_site(5, SiteState::Short)]);
         // Site at [5,10) shrunk to 2 bytes: savings 3.
         assert_eq!(s.new_offset(0), 0);
         assert_eq!(s.new_offset(5), 5);
         assert_eq!(s.new_offset(10), 7);
         assert_eq!(s.new_offset(20), 17);
         assert_eq!(s.final_size(), 17);
-        s.sites[0].state = SiteState::Deleted;
+        s.update_states([(0, SiteState::Deleted)]);
         assert_eq!(s.final_size(), 15);
-        s.sites[0].state = SiteState::Long;
+        s.update_states([(0, SiteState::Long)]);
         assert_eq!(s.final_size(), 20);
     }
 
     #[test]
+    fn offset_table_matches_linear_scan() {
+        const STATES: [SiteState; 3] = [SiteState::Long, SiteState::Short, SiteState::Deleted];
+        let mut rng = StdRng::seed_from_u64(0x0FF5_E7AB);
+        for _ in 0..300 {
+            // A random layout: gaps of plain code between 5-byte jumps
+            // and 6-byte conditional branches, in random states.
+            let mut sites = Vec::new();
+            let mut cursor = 0u32;
+            for _ in 0..rng.gen_range(0..12usize) {
+                cursor += rng.gen_range(0..9u32);
+                let cond = rng.gen_bool(0.5);
+                let orig_len = if cond { 6 } else { 5 };
+                sites.push(Site {
+                    inst_start: cursor,
+                    orig_len,
+                    cond,
+                    symbol: "x",
+                    addend: 0,
+                    state: STATES[rng.gen_range(0..3usize)],
+                });
+                cursor += orig_len;
+            }
+            let section = text(cursor + rng.gen_range(0..9u32));
+            let len = section.bytes.len() as u32;
+            let mut sec = sec_with_sites(&section, sites);
+            for round in 0..3 {
+                for orig in 0..=len {
+                    assert_eq!(
+                        sec.new_offset(orig),
+                        linear_new_offset(sec.sites(), orig),
+                        "offset {orig} of {len}, round {round}"
+                    );
+                }
+                assert_eq!(sec.final_size(), linear_new_offset(sec.sites(), len));
+                // Change some states; the table must follow.
+                let mut updates = Vec::new();
+                for k in 0..sec.sites().len() {
+                    if rng.gen_bool(0.4) {
+                        updates.push((k, STATES[rng.gen_range(0..3usize)]));
+                    }
+                }
+                sec.update_states(updates);
+            }
+        }
+    }
+
+    #[test]
     fn tail_detection() {
-        let s = sec_with_sites(20, vec![jmp_site(15, SiteState::Long)]);
+        let section = text(20);
+        let s = sec_with_sites(&section, vec![jmp_site(15, SiteState::Long)]);
         assert!(s.is_tail(0));
-        let s = sec_with_sites(20, vec![jmp_site(5, SiteState::Long)]);
+        let s = sec_with_sites(&section, vec![jmp_site(5, SiteState::Long)]);
         assert!(!s.is_tail(0));
     }
 
@@ -467,7 +561,7 @@ mod tests {
     fn parse_sites_rejects_out_of_bounds_reloc_without_panicking() {
         // A relocation offset past the section bytes used to index out
         // of bounds; it must come back as typed corrupt-metadata.
-        for off in [9u32, 100, u32::MAX] {
+        for off in [5u32, 9, 100, u32::MAX] {
             let mut sec = Section::new(".text.x", SectionKind::Text, vec![0u8; 8]);
             sec.relocs.push(Reloc::new(off, RelocKind::BranchPc32, "a", 0));
             let err = parse_sites(&sec).unwrap_err();
@@ -481,15 +575,29 @@ mod tests {
     }
 
     #[test]
+    fn parse_sites_rejects_overlapping_sites() {
+        // Two jumps claimed at 0 and 3: the second starts inside the first.
+        let mut bytes = vec![op::JMP_LONG, 0, 0, op::JMP_LONG, 0, 0, 0, 0];
+        bytes.resize(10, 0);
+        let mut sec = Section::new(".text.x", SectionKind::Text, bytes);
+        sec.relocs
+            .push(Reloc::new(1, RelocKind::BranchPc32, "a", 0));
+        sec.relocs
+            .push(Reloc::new(4, RelocKind::BranchPc32, "b", 0));
+        match parse_sites(&sec).unwrap_err() {
+            LinkError::BadMetadata { detail, .. } => {
+                assert!(detail.contains("overlap"), "{detail}");
+            }
+            other => panic!("expected BadMetadata, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn assign_addresses_respects_alignment() {
-        let mut secs = vec![
-            sec_with_sites(10, Vec::new()),
-            {
-                let mut s = sec_with_sites(5, Vec::new());
-                s.align = 16;
-                s
-            },
-        ];
+        let first = text(10);
+        let mut second = text(5);
+        second.align = 16;
+        let mut secs = vec![Sec::new(0, &first), Sec::new(0, &second)];
         let end = assign_addresses(&mut secs, &[0, 1], 0x1000);
         assert_eq!(secs[0].addr, 0x1000);
         assert_eq!(secs[1].addr, 0x1010);

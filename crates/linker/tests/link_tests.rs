@@ -4,7 +4,9 @@ use propeller_codegen::{
     codegen_module, isa::decode, isa::Decoded, ClusterMap, CodegenOptions, FunctionClusters,
 };
 use propeller_ir::{BlockId, FunctionBuilder, Inst, Program, ProgramBuilder, Terminator};
-use propeller_linker::{link, LinkError, LinkInput, LinkOptions, SymbolOrdering};
+use propeller_linker::{link, LinkError, LinkInput, LinkOptions, LinkedBinary, SymbolOrdering};
+use propeller_obj::{ObjectFile, RelocKind, Section};
+use std::sync::Arc;
 
 /// Two modules:
 ///  * `a.cc`: `hot` (4 blocks: entry condbr -> cold_path | fast; both ->
@@ -329,21 +331,7 @@ fn retained_relocs_grow_file_size() {
 fn relaxed_image_decodes_cleanly() {
     let p = fixture();
     let inputs = compile(&p, &CodegenOptions::with_clusters(split_hot_clusters(&p)));
-    let order = SymbolOrdering::new([
-        "hot".to_string(),
-        "helper".to_string(),
-        "hot.cold".to_string(),
-        "frosty".to_string(),
-    ]);
-    let bin = link(
-        &inputs,
-        &LinkOptions {
-            symbol_order: Some(order),
-            relax: true,
-            ..LinkOptions::default()
-        },
-    )
-    .unwrap();
+    let bin = link(&inputs, &po_options()).unwrap();
     // Every byte of text decodes as a valid instruction stream.
     let mut addr = bin.text_start;
     while addr < bin.text_end {
@@ -373,4 +361,144 @@ fn map_report_lists_every_section() {
         assert!(map.contains(&s.name), "missing section {} in map", s.name);
     }
     assert!(map.contains("inputs"));
+}
+
+/// The first section of `input` holding a relocation of `kind`, for
+/// tests that corrupt one relocation in place.
+fn section_with_reloc(input: &mut LinkInput, kind: RelocKind) -> &mut Section {
+    Arc::make_mut(&mut input.object)
+        .sections_mut()
+        .iter_mut()
+        .find(|s| s.relocs.iter().any(|r| r.kind == kind))
+        .expect("a section with such a relocation")
+}
+
+fn po_options() -> LinkOptions {
+    LinkOptions {
+        symbol_order: Some(SymbolOrdering::new([
+            "hot".to_string(),
+            "helper".to_string(),
+            "hot.cold".to_string(),
+            "frosty".to_string(),
+        ])),
+        relax: true,
+        ..LinkOptions::default()
+    }
+}
+
+#[test]
+fn out_of_bounds_relocation_is_a_typed_error() {
+    let p = fixture();
+    let mut inputs = compile(&p, &CodegenOptions::baseline());
+    let object = inputs[0].object.name.clone();
+    let sec = section_with_reloc(&mut inputs[0], RelocKind::CallPc32);
+    let section = sec.name.clone();
+    // The 4-byte call field now starts one byte before the section end:
+    // applied blindly it would spill into whatever follows.
+    let last = sec.bytes.len() as u32 - 1;
+    sec.relocs
+        .iter_mut()
+        .find(|r| r.kind == RelocKind::CallPc32)
+        .unwrap()
+        .offset = last;
+    match link(&inputs, &LinkOptions::default()) {
+        Err(LinkError::BadMetadata { object: o, detail }) => {
+            assert_eq!(o, object);
+            assert!(detail.contains(&section), "{detail}");
+            assert!(detail.contains("overruns"), "{detail}");
+        }
+        other => panic!("expected BadMetadata, got {other:?}"),
+    }
+}
+
+#[test]
+fn relocation_moved_past_relaxed_section_end_is_a_typed_error() {
+    // `split_fn`'s hot cluster is `call helper; jmp split_fn.cold`, and
+    // the cold cluster follows it, so relaxation deletes the tail jump.
+    let mut pb = ProgramBuilder::new();
+    let m = pb.add_module("m.cc");
+    let mut helper = FunctionBuilder::new("helper");
+    helper.add_block(vec![Inst::Alu], Terminator::Ret);
+    let helper_id = pb.add_function(m, helper);
+    let mut f = FunctionBuilder::new("split_fn");
+    f.add_block(vec![Inst::Call(helper_id)], Terminator::Jump(BlockId(1)));
+    f.add_block(vec![Inst::Alu; 2], Terminator::Ret);
+    let fid = pb.add_function(m, f);
+    let p = pb.finish().unwrap();
+    let mut map = ClusterMap::new();
+    map.insert(
+        fid,
+        FunctionClusters::hot_cold(vec![BlockId(0)], vec![BlockId(1)]),
+    );
+    let mut inputs = compile(&p, &CodegenOptions::with_clusters(map));
+    let opts = |relax| LinkOptions {
+        symbol_order: Some(SymbolOrdering::new([
+            "split_fn".to_string(),
+            "split_fn.cold".to_string(),
+            "helper".to_string(),
+        ])),
+        relax,
+        ..LinkOptions::default()
+    };
+
+    // Point the call field at the tail jump's displacement: in bounds of
+    // the input section, but past the end once the jump is deleted.
+    let sec = section_with_reloc(&mut inputs[0], RelocKind::BranchPc32);
+    let field = sec.bytes.len() as u32 - 4;
+    sec.relocs
+        .iter_mut()
+        .find(|r| r.kind == RelocKind::CallPc32)
+        .unwrap()
+        .offset = field;
+    assert!(link(&inputs, &opts(false)).is_ok());
+    match link(&inputs, &opts(true)) {
+        Err(LinkError::BadMetadata { detail, .. }) => {
+            assert!(detail.contains("overruns"), "{detail}");
+        }
+        other => panic!("expected BadMetadata, got {other:?}"),
+    }
+}
+
+fn assert_same_binary(a: &LinkedBinary, b: &LinkedBinary) {
+    assert_eq!(a.image, b.image);
+    assert_eq!(a.symbols, b.symbols);
+    assert_eq!(a.sections, b.sections);
+    assert_eq!(a.bb_addr_map, b.bb_addr_map);
+    assert_eq!(a.size_breakdown, b.size_breakdown);
+    assert_eq!(a.layout, b.layout);
+    assert_eq!(a.placements, b.placements);
+    assert_eq!(a.stats, b.stats);
+}
+
+#[test]
+fn shared_inputs_link_like_owned_ones() {
+    let p = fixture();
+    for (cg, opts) in [
+        (CodegenOptions::with_labels(), LinkOptions::default()),
+        (
+            CodegenOptions::with_clusters(split_hot_clusters(&p)),
+            po_options(),
+        ),
+    ] {
+        let results: Vec<_> = p
+            .modules()
+            .iter()
+            .map(|m| Arc::new(codegen_module(m, &p, &cg).unwrap()))
+            .collect();
+        // Shared: what the pipeline hands the linker from its cache.
+        let shared: Vec<LinkInput> = results
+            .iter()
+            .map(|r| LinkInput::new(Arc::clone(&r.object), Arc::clone(&r.debug_layout)))
+            .collect();
+        assert!(Arc::ptr_eq(&shared[0].object, &results[0].object));
+        // Owned: fresh deep copies.
+        let owned: Vec<LinkInput> = results
+            .iter()
+            .map(|r| LinkInput::new(ObjectFile::clone(&r.object), (*r.debug_layout).clone()))
+            .collect();
+        assert_same_binary(
+            &link(&shared, &opts).unwrap(),
+            &link(&owned, &opts).unwrap(),
+        );
+    }
 }

@@ -25,6 +25,11 @@ fn put_uleb(out: &mut Vec<u8>, mut v: u32) {
     }
 }
 
+/// Bytes [`put_uleb`] writes for `v`.
+fn uleb_len(v: u32) -> usize {
+    (32 - v.leading_zeros()).max(1).div_ceil(7) as usize
+}
+
 fn get_uleb(buf: &mut &[u8], context: &'static str) -> Result<u32, ObjError> {
     let mut v: u32 = 0;
     let mut shift = 0u32;
@@ -142,6 +147,28 @@ impl BbAddrMap {
             }
         }
         out
+    }
+
+    /// Length of [`BbAddrMap::encode`]'s output, computed without
+    /// building it.
+    pub fn encoded_len(&self) -> usize {
+        let str_len = |s: &str| 4 + s.len();
+        let mut n = uleb_len(self.functions.len() as u32);
+        for f in &self.functions {
+            n += str_len(&f.func_symbol) + uleb_len(f.ranges.len() as u32);
+            for (range_sym, entries) in &f.ranges {
+                n += if range_sym == &f.func_symbol {
+                    str_len("")
+                } else {
+                    str_len(range_sym)
+                };
+                n += uleb_len(entries.len() as u32);
+                for e in entries {
+                    n += uleb_len(e.bb_id) + uleb_len(e.offset) + uleb_len(e.size) + 1;
+                }
+            }
+        }
+        n
     }
 
     /// Decodes section bytes.
@@ -265,5 +292,26 @@ mod tests {
     fn empty_map_round_trips() {
         let m = BbAddrMap::default();
         assert_eq!(BbAddrMap::decode(&m.encode()).unwrap(), m);
+    }
+
+    #[test]
+    fn encoded_len_matches_encode() {
+        let mut m = BbAddrMap::default();
+        assert_eq!(m.encoded_len(), m.encode().len());
+        m.merge(sample());
+        // Values on both sides of every ULEB128 width boundary.
+        for (i, v) in [0u32, 127, 128, 16_383, 16_384, 1 << 21, 1 << 28, u32::MAX]
+            .into_iter()
+            .enumerate()
+        {
+            m.functions[0].ranges[1].1.push(BbEntry {
+                bb_id: v,
+                offset: v / 2,
+                size: i as u32,
+                flags: BbFlags::default(),
+            });
+            m.merge(sample());
+            assert_eq!(m.encoded_len(), m.encode().len(), "after {v}");
+        }
     }
 }

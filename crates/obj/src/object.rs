@@ -177,7 +177,7 @@ impl ObjectFile {
         }
         let name = get_str(buf, "object name")?;
         let nsec = get_u32(buf, "section count")? as usize;
-        let mut sections = Vec::with_capacity(nsec);
+        let mut sections = Vec::with_capacity(nsec.min(1 << 20));
         for _ in 0..nsec {
             let sname = get_str(buf, "section name")?;
             let ktag = get_u8(buf, "section kind")?;
@@ -195,7 +195,7 @@ impl ObjectFile {
             let mut data = vec![0u8; len];
             buf.copy_to_slice(&mut data);
             let nrel = get_u32(buf, "reloc count")? as usize;
-            let mut relocs = Vec::with_capacity(nrel);
+            let mut relocs = Vec::with_capacity(nrel.min(1 << 20));
             for _ in 0..nrel {
                 let offset = get_u32(buf, "reloc offset")?;
                 let rtag = get_u8(buf, "reloc kind")?;
@@ -213,7 +213,7 @@ impl ObjectFile {
                 });
             }
             let nspan = get_u32(buf, "block map count")? as usize;
-            let mut block_map = Vec::with_capacity(nspan);
+            let mut block_map = Vec::with_capacity(nspan.min(1 << 20));
             for _ in 0..nspan {
                 block_map.push(crate::section::BlockSpan {
                     offset: get_u32(buf, "block span offset")?,
@@ -232,7 +232,7 @@ impl ObjectFile {
             });
         }
         let nsym = get_u32(buf, "symbol count")? as usize;
-        let mut symbols = Vec::with_capacity(nsym);
+        let mut symbols = Vec::with_capacity(nsym.min(1 << 20));
         for _ in 0..nsym {
             let name = get_str(buf, "symbol name")?;
             let section = get_u32(buf, "symbol section")?;
@@ -343,6 +343,20 @@ mod tests {
             // Every proper prefix must fail cleanly, never panic.
             assert!(ObjectFile::decode(&bytes[..cut]).is_err(), "cut={cut}");
         }
+    }
+
+    #[test]
+    fn decode_rejects_hostile_counts_without_aborting() {
+        // The section count follows the magic and the length-prefixed
+        // object name. A count of u32::MAX must not size an allocation.
+        let obj = sample();
+        let at = 4 + 4 + obj.name.len();
+        let mut bytes = obj.encode();
+        bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            ObjectFile::decode(&bytes),
+            Err(ObjError::Truncated { .. })
+        ));
     }
 
     #[test]

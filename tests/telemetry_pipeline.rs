@@ -60,7 +60,10 @@ fn phase_spans_nest_their_action_children() {
         .iter()
         .map(|s| s.name.as_str())
         .collect();
-    assert_eq!(stages, ["link.ordering", "link.emit"]);
+    assert_eq!(
+        stages,
+        ["link.inputs", "link.ordering", "link.emit", "link.metadata"]
+    );
 
     // Phase 3 nests the profiling simulation and WPA with its stages.
     let p3 = trace
@@ -94,7 +97,16 @@ fn phase_spans_nest_their_action_children() {
         .iter()
         .map(|s| s.name.as_str())
         .collect();
-    assert_eq!(stages, ["link.ordering", "link.relax", "link.emit"]);
+    assert_eq!(
+        stages,
+        [
+            "link.inputs",
+            "link.ordering",
+            "link.relax",
+            "link.emit",
+            "link.metadata"
+        ]
+    );
 }
 
 #[test]
